@@ -25,15 +25,12 @@
 //   --trace-json FILE write Chrome trace_event JSON (chrome://tracing,
 //                     Perfetto)
 //
-// Parallel engine (docs/PARALLEL.md):
-//   --analysis-threads=N  width of the parallel fixed-point engine
-//                         (default 1 = classic sequential engine).
-//                         Single file: offloads the per-statement set
-//                         folding onto a work-stealing pool. --batch:
-//                         analyzes N files concurrently in-process
-//                         (replacing the fork-per-file isolation) with
-//                         output replayed in input order. Results are
-//                         byte-identical at any N.
+// Batch parallelism (DESIGN.md, "Batch parallelism"):
+//   --analysis-threads=N  --batch width (default 1 = one forked child
+//                         per file). N > 1 analyzes N files concurrently
+//                         in-process, with output replayed in input
+//                         order; results are byte-identical at any N.
+//                         Valid only with --batch.
 //
 // Resource governance (docs/ROBUSTNESS.md):
 //   --timeout-ms=N        wall-clock deadline for the analysis
@@ -77,11 +74,13 @@
 //                         each file re-analyzes against and updates its
 //                         own baseline. In both modes a baseline
 //                         recorded under a different options
-//                         fingerprint (or an older format version) is
-//                         never reused: the run falls back to a full
-//                         analysis with the reason printed and recorded
-//                         as an incr.fallback.* counter. Not applicable
-//                         to --serve.
+//                         fingerprint is never reused: the run falls
+//                         back to a full analysis with the reason
+//                         printed and recorded as an incr.fallback.*
+//                         counter. An unreadable baseline (including
+//                         one in an older format version) is ignored
+//                         with a warning and rebuilt from a full
+//                         analysis. Not applicable to --serve.
 //
 // One-shot demand queries (docs/DEMAND.md):
 //   --points-to=NAME      print the points-to targets of location NAME
@@ -107,7 +106,7 @@
 #include "serve/Serialize.h"
 #include "serve/Server.h"
 #include "serve/SummaryCache.h"
-#include "support/ThreadPool.h"
+#include "support/ParallelFor.h"
 #include "support/Version.h"
 #include "wlgen/WorkloadGen.h"
 
@@ -139,6 +138,8 @@ struct ToolConfig {
   bool Stats = false;
   bool Profile = false;
   bool Strict = false;
+  /// --batch width (--analysis-threads); 1 forks one child per file.
+  unsigned BatchWidth = 1;
   pta::Analyzer::Options Opts;
   std::string StatsJsonPath, TraceJsonPath;
 };
@@ -151,7 +152,7 @@ int usage() {
       "                [--fnptr=precise|all|address-taken] "
       "[--context-insensitive]\n"
       "                [--profile] [--json FILE] [--trace-json FILE]\n"
-      "                [--analysis-threads=N]\n"
+      "                [--analysis-threads=N (with --batch)]\n"
       "                [--timeout-ms=N] [--max-stmt-visits=N] "
       "[--max-locations=N]\n"
       "                [--max-ig-nodes=N] [--max-rec-passes=N] [--strict]\n"
@@ -322,16 +323,16 @@ int runIncremental(const std::string &Source, const ToolConfig &Cfg,
                    const std::string &BaselinePath);
 
 /// In-process parallel batch (--analysis-threads=N with --batch): the
-/// files are dispatched as file-granularity tasks onto one shared
-/// work-stealing pool; each task analyzes sequentially (nesting pools
-/// would oversubscribe) into private memory streams, and the captured
-/// output is replayed in input order afterwards, so stdout/stderr are
-/// byte-identical to the sequential batch at any thread count. The
-/// summary cache is shared across workers (its locking makes concurrent
+/// files run through support::parallelFor on N threads, one file per
+/// task, each writing into private memory streams; the captured output
+/// is replayed in input order afterwards, so stdout/stderr are
+/// byte-identical to the sequential batch at any width. The summary
+/// cache is shared across threads (its locking makes concurrent
 /// lookup/store safe), and per-file telemetry folds into one batch
 /// aggregate via Telemetry::mergeFrom. Trade-off vs. the fork-per-file
 /// path: no process isolation — a crashing input takes the batch down —
-/// in exchange for near-linear throughput (docs/PARALLEL.md).
+/// in exchange for file-level throughput (DESIGN.md, "Batch
+/// parallelism").
 int runBatchParallel(const std::vector<std::string> &Files,
                      const ToolConfig &Cfg, serve::SummaryCache *Cache,
                      const std::string &FP) {
@@ -349,71 +350,63 @@ int runBatchParallel(const std::vector<std::string> &Files,
   support::Telemetry BatchTelem(WantTelemetry);
   std::mutex BatchTelemMu;
 
-  ToolConfig FileCfg = Cfg;
-  FileCfg.Opts.AnalysisThreads = 1; // file-granularity parallelism only
-  FileCfg.Opts.Pool = nullptr;
-
-  support::ThreadPool Pool(Cfg.Opts.AnalysisThreads);
-  for (size_t I = 0; I < Files.size(); ++I) {
-    Pool.submit([&, I] {
-      FileOutcome &O = Outcomes[I];
-      std::string Source;
-      if (!readFile(Files[I], Source)) {
-        O.OpenFailed = true;
-        O.Code = 1;
+  support::parallelFor(Files.size(), Cfg.BatchWidth, [&](size_t I) {
+    FileOutcome &O = Outcomes[I];
+    std::string Source;
+    if (!readFile(Files[I], Source)) {
+      O.OpenFailed = true;
+      O.Code = 1;
+      return;
+    }
+    std::string Key;
+    if (Cache) {
+      Key = serve::SummaryCache::key(Source, FP);
+      std::string Warning;
+      if (auto Snap = Cache->lookup(Key, &Warning)) {
+        O.Cached = true;
+        O.CachedDegraded = Snap->degraded();
+        O.Code = (Cfg.Strict && O.CachedDegraded) ? 2 : 0;
         return;
       }
-      std::string Key;
-      if (Cache) {
-        Key = serve::SummaryCache::key(Source, FP);
-        std::string Warning;
-        if (auto Snap = Cache->lookup(Key, &Warning)) {
-          O.Cached = true;
-          O.CachedDegraded = Snap->degraded();
-          O.Code = (Cfg.Strict && O.CachedDegraded) ? 2 : 0;
-          return;
-        }
-        if (!Warning.empty())
-          O.Err += "warning: " + Warning + "\n";
-      }
-      char *OutBuf = nullptr, *ErrBuf = nullptr;
-      size_t OutLen = 0, ErrLen = 0;
-      FILE *OutF = open_memstream(&OutBuf, &OutLen);
-      FILE *ErrF = open_memstream(&ErrBuf, &ErrLen);
-      if (!OutF || !ErrF) {
-        if (OutF)
-          std::fclose(OutF);
-        if (ErrF)
-          std::fclose(ErrF);
-        std::free(OutBuf);
-        std::free(ErrBuf);
-        O.Err += "error: cannot allocate output buffer\n";
-        O.Code = 1;
-        return;
-      }
-      serve::ResultSnapshot Snap;
-      try {
-        O.Code = runOne(Source, FileCfg, Cache ? &Snap : nullptr, OutF, ErrF,
-                        WantTelemetry ? &BatchTelem : nullptr, &BatchTelemMu);
-      } catch (const std::exception &E) {
-        std::fprintf(ErrF, "error: %s\n", E.what());
-        O.Code = 1;
-      }
-      std::fclose(OutF);
-      std::fclose(ErrF);
-      O.Out.assign(OutBuf, OutLen);
-      O.Err.append(ErrBuf, ErrLen);
+      if (!Warning.empty())
+        O.Err += "warning: " + Warning + "\n";
+    }
+    char *OutBuf = nullptr, *ErrBuf = nullptr;
+    size_t OutLen = 0, ErrLen = 0;
+    FILE *OutF = open_memstream(&OutBuf, &OutLen);
+    FILE *ErrF = open_memstream(&ErrBuf, &ErrLen);
+    if (!OutF || !ErrF) {
+      if (OutF)
+        std::fclose(OutF);
+      if (ErrF)
+        std::fclose(ErrF);
       std::free(OutBuf);
       std::free(ErrBuf);
-      if (Cache && O.Code != 1) {
-        std::string StoreWarning;
-        Cache->store(Key, std::move(Snap), &StoreWarning);
-        if (!StoreWarning.empty())
-          O.Err += "warning: " + StoreWarning + "\n";
-      }
-    });
-  }
-  Pool.wait();
+      O.Err += "error: cannot allocate output buffer\n";
+      O.Code = 1;
+      return;
+    }
+    serve::ResultSnapshot Snap;
+    try {
+      O.Code = runOne(Source, Cfg, Cache ? &Snap : nullptr, OutF, ErrF,
+                      WantTelemetry ? &BatchTelem : nullptr, &BatchTelemMu);
+    } catch (const std::exception &E) {
+      std::fprintf(ErrF, "error: %s\n", E.what());
+      O.Code = 1;
+    }
+    std::fclose(OutF);
+    std::fclose(ErrF);
+    O.Out.assign(OutBuf, OutLen);
+    O.Err.append(ErrBuf, ErrLen);
+    std::free(OutBuf);
+    std::free(ErrBuf);
+    if (Cache && O.Code != 1) {
+      std::string StoreWarning;
+      Cache->store(Key, std::move(Snap), &StoreWarning);
+      if (!StoreWarning.empty())
+        O.Err += "warning: " + StoreWarning + "\n";
+    }
+  });
 
   // Replay in input order: same lines, same order, as the sequential
   // fork-per-file batch.
@@ -526,7 +519,7 @@ int runBatch(const std::string &Dir, const ToolConfig &Cfg,
   // Parallel in-process batch. Incremental batch keeps the sequential
   // fork path: each file mutates its own baseline snapshot and the
   // engine's output interleaves with the parent's prefix lines.
-  if (Cfg.Opts.AnalysisThreads > 1 && !Incremental)
+  if (Cfg.BatchWidth > 1 && !Incremental)
     return runBatchParallel(Files, Cfg, Cache.get(), FP);
 
   // Worst outcome across the batch: error (1) beats degraded-under-
@@ -847,7 +840,8 @@ int main(int argc, char **argv) {
   // (flag or environment), never through the silent default.
   bool CacheDirRequested = EnvCacheDir != nullptr;
   bool BadNumber = false;
-  uint64_t AnalysisThreads = 0;
+  bool HaveBatchWidth = false;
+  uint64_t BatchWidthArg = 0;
 
   for (int I = 1; I < argc; ++I) {
     std::string Arg = argv[I];
@@ -905,13 +899,14 @@ int main(int argc, char **argv) {
       Cfg.Opts.FnPtr = pta::FnPtrMode::AddressTaken;
     else if (Arg == "--context-insensitive")
       Cfg.Opts.ContextSensitive = false;
-    else if (parseU64Flag(Arg, "--analysis-threads", AnalysisThreads,
+    else if (parseU64Flag(Arg, "--analysis-threads", BatchWidthArg,
                           BadNumber)) {
       if (BadNumber)
         return 1;
-      // 0 and 1 both mean the sequential engine.
-      Cfg.Opts.AnalysisThreads =
-          static_cast<unsigned>(std::min<uint64_t>(AnalysisThreads, 256));
+      // 0 and 1 both mean the fork-per-file batch.
+      HaveBatchWidth = true;
+      Cfg.BatchWidth =
+          static_cast<unsigned>(std::min<uint64_t>(BatchWidthArg, 256));
     } else if (parseU64Flag(Arg, "--timeout-ms", Cfg.Opts.Limits.TimeoutMs,
                           BadNumber) ||
              parseU64Flag(Arg, "--max-stmt-visits",
@@ -988,6 +983,12 @@ int main(int argc, char **argv) {
                  !ServeCfg.FaultSpec.empty())) {
     std::fprintf(stderr, "error: --serve-* and --fault-inject flags apply "
                          "only to --serve\n");
+    return 1;
+  }
+  if (HaveBatchWidth && BatchDir.empty()) {
+    std::fprintf(stderr, "error: --analysis-threads applies only to "
+                         "--batch (files are analyzed in parallel, a "
+                         "single analysis is not)\n");
     return 1;
   }
   if (Serve)

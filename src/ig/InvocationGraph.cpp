@@ -131,15 +131,8 @@ IGNode *InvocationGraph::getOrCreateChild(IGNode *Parent, unsigned CallSiteId,
                                           const FunctionDecl *Callee) {
   IGNode *Child = nullptr;
   {
-    // Insert-if-absent under the parent's stripe: a sequential run (or
-    // the scheduler's disjoint-subtree dispatch) never contends, so the
-    // uncontended try_lock is the whole cost; a contended acquisition
-    // is recorded as a memo race.
-    std::unique_lock<std::mutex> Lock(memoStripe(Parent), std::try_to_lock);
-    if (!Lock.owns_lock()) {
-      Ctrs.MemoRaces.fetch_add(1, std::memory_order_relaxed);
-      Lock.lock();
-    }
+    // Insert-if-absent under the parent's stripe.
+    std::lock_guard<std::mutex> Lock(memoStripe(Parent));
 
     if (IGNode *Hit = Parent->findChild(CallSiteId, Callee)) {
       Ctrs.ChildCacheHits.fetch_add(1, std::memory_order_relaxed);

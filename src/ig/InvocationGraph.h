@@ -216,11 +216,6 @@ public:
     /// getOrCreateChild calls answered with a shared canonical node
     /// because the node budget (or deadline) had tripped.
     uint64_t CanonicalFallbacks = 0;
-    /// Contended stripe acquisitions of the memo table: two threads
-    /// raced on the same parent's child index (pta.par.memo_races).
-    /// Expected 0 in a sequential run, and 0 under the scheduler's
-    /// disjoint-subtree dispatch discipline (docs/PARALLEL.md).
-    std::atomic<uint64_t> MemoRaces{0};
   };
   const BuildCounters &buildCounters() const { return Ctrs; }
 
@@ -275,7 +270,6 @@ private:
   /// disjoint subtrees may look up and grow the graph safely. Node
   /// ownership and the canonical-fallback map are guarded separately by
   /// GrowthMu (always acquired after a stripe, never the reverse).
-  /// Contended stripe acquisitions are counted in Ctrs.MemoRaces.
   static constexpr unsigned NumMemoStripes = 16;
   std::mutex &memoStripe(const IGNode *Parent) {
     size_t H = reinterpret_cast<uintptr_t>(Parent) / alignof(IGNode);

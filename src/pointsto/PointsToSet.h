@@ -104,10 +104,10 @@ public:
   /// Process-wide representation traffic, published per analysis run as
   /// the pta.set.* telemetry counters (the analyzer snapshots them at
   /// run start and reports the deltas; PeakPairs is reset per run).
-  /// Relaxed atomics: sets are shared and mutated across the scheduler's
-  /// worker threads, and these counters only need to count — no
+  /// Relaxed atomics: the in-process batch analyzes files on several
+  /// threads at once, and these counters only need to count — no
   /// cross-counter consistency, no ordering with the set data itself
-  /// (the CoW shared_ptr control block provides that).
+  /// (RepPtr's share count provides that).
   struct Stats {
     std::atomic<uint64_t> PeakPairs{0};   ///< largest single set materialized
     std::atomic<uint64_t> CowShares{0};   ///< copies answered by sharing
@@ -269,9 +269,8 @@ private:
     /// read, which cannot order an in-place mutation after another
     /// thread's reads of the shared block — the CoW unique-owner check
     /// needs an acquire load paired with the release half of the last
-    /// other owner's decrement (the parallel engine ships CoW shares
-    /// across threads, docs/PARALLEL.md). RepPtr spells those orders
-    /// out.
+    /// other owner's decrement whenever a CoW share crosses threads.
+    /// RepPtr spells those orders out.
     std::atomic<uint32_t> RC{1};
 
     Rep() = default;

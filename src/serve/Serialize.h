@@ -48,8 +48,8 @@
 /// deserialize() is corruption-tolerant: truncated, oversized, or
 /// inconsistent input yields `false` and an error message, never a
 /// crash or an out-of-bounds read (the cache maps that to a miss).
-/// Version-1 blobs are still read (FormatVersion records which reader
-/// ran); version-1 snapshots lack the v2-only sections.
+/// Only the current format version is read; an older blob is rejected
+/// like any other malformed input.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -169,11 +169,6 @@ struct DegradationRecord {
 
 /// Everything one analysis run produced, self-contained.
 struct ResultSnapshot {
-  /// Which format revision this snapshot came from: the current
-  /// version for capture(), the blob's header version for
-  /// deserialize(). v1-loaded snapshots lack EvalCount, the structural
-  /// location fields, WarningsByFn, and Meta.
-  uint32_t FormatVersion = 0;
   /// Fingerprint of the Analyzer options + limits that produced this
   /// result (optionsFingerprint below); stored in the blob header so a
   /// loaded result is attributable.
@@ -272,7 +267,7 @@ std::string optionsFingerprint(const pta::Analyzer::Options &Opts);
 /// equal snapshots yield equal bytes.
 std::string serialize(const ResultSnapshot &S);
 
-/// Parses a blob produced by serialize(), current or version-1 format.
+/// Parses a blob produced by serialize() in the current format version.
 /// Returns false with an error message on any malformed input (wrong
 /// magic, unknown format version, truncation, out-of-range indices);
 /// never throws or crashes.

@@ -26,7 +26,7 @@
 /// pointer. A Telemetry constructed with Enabled=false is a null sink:
 /// every mutation short-circuits and the exporters emit empty documents.
 ///
-/// Thread safety (the contract the work-stealing pool and the concurrent
+/// Thread safety (the contract the in-process batch and the concurrent
 /// serve daemon build on):
 ///  - Counter / Histogram / LatencyRecorder mutation is lock-free: all
 ///    fields are relaxed atomics, so any number of threads may share one

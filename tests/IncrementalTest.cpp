@@ -14,7 +14,6 @@
 #include "incr/Fingerprint.h"
 #include "incr/IncrementalEngine.h"
 #include "serve/Serialize.h"
-#include "support/Version.h"
 #include "wlgen/WorkloadGen.h"
 
 using namespace mcpta;
@@ -215,136 +214,7 @@ TEST(DirtySetTest, ExternChangeDirtiesIndirectCallers) {
 }
 
 //===----------------------------------------------------------------------===//
-// Old-format reader compatibility (v1 and v2 blobs)
-//===----------------------------------------------------------------------===//
-
-/// Hand-assembled minimal mcpta-result-v1 blob (empty analyzed result):
-/// the layout deserialize() documents for version-1 input.
-std::string minimalV1Blob() {
-  std::string B;
-  auto U32 = [&](uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  auto U64 = [&](uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  B += "MCPT";
-  U32(1);          // format version
-  U32(0);          // options fingerprint (empty)
-  U32(0);          // string table: no entries
-  B.push_back(1);  // Analyzed
-  U32(0);          // NumStmts
-  U64(0);          // v1 run-history counters
-  U64(0);
-  U64(0);
-  U32(0);          // locations
-  B.push_back(0);  // HasMainOut
-  U32(0);          // MainOut triples
-  U32(0);          // StmtIn records
-  U32(0);          // IG nodes
-  U32(0);          // degradations
-  U32(0);          // warnings
-  U32(0);          // alias pairs
-  U32(0);          // reads
-  U32(0);          // writes
-  return B;
-}
-
-/// Hand-assembled minimal mcpta-result-v2 blob (empty analyzed result):
-/// v1 minus the run-history counters, plus the empty per-function
-/// warning map and incremental meta sections, with flat (not run-
-/// encoded) triple sections.
-std::string minimalV2Blob() {
-  std::string B;
-  auto U32 = [&](uint32_t V) {
-    for (int I = 0; I < 4; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  auto U64 = [&](uint64_t V) {
-    for (int I = 0; I < 8; ++I)
-      B.push_back(static_cast<char>((V >> (8 * I)) & 0xff));
-  };
-  B += "MCPT";
-  U32(2);          // format version
-  U32(0);          // options fingerprint (empty)
-  U32(0);          // string table: no entries
-  B.push_back(1);  // Analyzed
-  U32(0);          // NumStmts
-  U32(0);          // locations
-  B.push_back(0);  // HasMainOut
-  U32(0);          // MainOut triples (v2: flat triples)
-  U32(0);          // StmtIn records
-  U32(0);          // IG nodes
-  U32(0);          // degradations
-  U32(0);          // warnings
-  U32(0);          // warnings-by-function entries
-  U64(0);          // types fingerprint
-  U64(0);          // global-init fingerprint
-  U32(0);          // global-init string ids
-  U32(0);          // function meta records
-  U32(0);          // global meta records
-  U32(0);          // alias pairs
-  U32(0);          // reads
-  U32(0);          // writes
-  return B;
-}
-
-TEST(IncrementalTest, V1BlobStillDeserializes) {
-  ResultSnapshot S;
-  std::string Err;
-  ASSERT_TRUE(deserialize(minimalV1Blob(), S, Err)) << Err;
-  EXPECT_EQ(S.FormatVersion, 1u);
-  EXPECT_TRUE(S.Analyzed);
-  EXPECT_TRUE(S.Meta.Functions.empty()) << "v1 blobs carry no meta";
-}
-
-TEST(IncrementalTest, V2BlobStillDeserializes) {
-  ResultSnapshot S;
-  std::string Err;
-  ASSERT_TRUE(deserialize(minimalV2Blob(), S, Err)) << Err;
-  EXPECT_EQ(S.FormatVersion, 2u);
-  EXPECT_TRUE(S.Analyzed);
-  EXPECT_TRUE(S.WarningsByFn.empty());
-}
-
-TEST(IncrementalTest, V1BaselineFallsBackWithRecordedReason) {
-  ResultSnapshot V1;
-  std::string Err;
-  ASSERT_TRUE(deserialize(minimalV1Blob(), V1, Err)) << Err;
-
-  const char *Src = "int main(void) { return 0; }\n";
-  pta::Analyzer::Options Opts;
-  support::Telemetry Telem(true);
-  IncrOutput O = IncrementalEngine::reanalyze(V1, Src, Opts, &Telem);
-  ASSERT_TRUE(O.Ok) << O.Error;
-  EXPECT_FALSE(O.Stats.UsedIncremental);
-  EXPECT_EQ(O.Stats.FallbackReason, "baseline-version");
-  EXPECT_EQ(Telem.counter("incr.fallback.baseline-version").Value, 1u);
-  // The fallback still produces a correct, current-format snapshot.
-  EXPECT_EQ(O.Blob, scratchBlob(Src, Opts));
-  EXPECT_EQ(O.Snapshot.FormatVersion, version::kResultFormatVersion);
-}
-
-TEST(IncrementalTest, V2BaselineFallsBackWithRecordedReason) {
-  ResultSnapshot V2;
-  std::string Err;
-  ASSERT_TRUE(deserialize(minimalV2Blob(), V2, Err)) << Err;
-
-  const char *Src = "int main(void) { return 0; }\n";
-  pta::Analyzer::Options Opts;
-  support::Telemetry Telem(true);
-  IncrOutput O = IncrementalEngine::reanalyze(V2, Src, Opts, &Telem);
-  ASSERT_TRUE(O.Ok) << O.Error;
-  EXPECT_FALSE(O.Stats.UsedIncremental);
-  EXPECT_EQ(O.Stats.FallbackReason, "baseline-version");
-  EXPECT_EQ(Telem.counter("incr.fallback.baseline-version").Value, 1u);
-  EXPECT_EQ(O.Snapshot.FormatVersion, version::kResultFormatVersion);
-}
-
-//===----------------------------------------------------------------------===//
-// Remaining fallback gates
+// Fallback gates
 //===----------------------------------------------------------------------===//
 
 TEST(IncrementalTest, OptionFingerprintMismatchFallsBack) {

@@ -150,13 +150,16 @@ TEST(SerializeTest, BadMagicAndWrongVersionRejected) {
   EXPECT_NE(Err.find("magic"), std::string::npos) << Err;
 
   // The format version lives right after the 4-byte magic
-  // (little-endian u32); a future version must be rejected, not
-  // misparsed.
-  std::string BadVersion = Blob;
-  BadVersion[4] = static_cast<char>(version::kResultFormatVersion + 1);
-  Err.clear();
-  EXPECT_FALSE(deserialize(BadVersion, Out, Err));
-  EXPECT_NE(Err.find("version"), std::string::npos) << Err;
+  // (little-endian u32); an older or a future version must be
+  // rejected, not misparsed.
+  for (uint32_t V : {1u, 2u, version::kResultFormatVersion + 1}) {
+    std::string BadVersion = Blob;
+    BadVersion[4] = static_cast<char>(V);
+    Err.clear();
+    EXPECT_FALSE(deserialize(BadVersion, Out, Err)) << "version " << V;
+    EXPECT_NE(Err.find("version " + std::to_string(V)), std::string::npos)
+        << Err;
+  }
 }
 
 TEST(SerializeTest, BitFlipsNeverCrash) {

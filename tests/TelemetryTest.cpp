@@ -254,7 +254,7 @@ TEST(TelemetryTest, NullTelemetrySpanIsSafe) {
 
 //===----------------------------------------------------------------------===//
 // Concurrency: the thread-safety contract the serve daemon and the
-// future work-stealing pool rely on.
+// in-process batch rely on.
 //===----------------------------------------------------------------------===//
 
 TEST(TelemetryTest, ConcurrentCounterHammerKeepsExactTotals) {

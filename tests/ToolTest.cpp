@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Version.h"
+
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -21,9 +23,12 @@ struct ToolRun {
   std::string Output;
 };
 
-ToolRun runTool(const std::string &Args) {
+/// Runs pta-tool; \p Redirect decides what happens to stderr (merged
+/// into Output by default).
+ToolRun runTool(const std::string &Args,
+                const std::string &Redirect = "2>&1") {
   ToolRun R;
-  std::string Cmd = std::string(PTA_TOOL_PATH) + " " + Args + " 2>&1";
+  std::string Cmd = std::string(PTA_TOOL_PATH) + " " + Args + " " + Redirect;
   FILE *Pipe = popen(Cmd.c_str(), "r");
   if (!Pipe)
     return R;
@@ -268,6 +273,49 @@ TEST(ToolTest, BatchIsolatesFailures) {
   std::filesystem::remove_all(Dir);
 }
 
+TEST(ToolTest, BatchOutputIdenticalAcrossWidths) {
+  // Width 1 forks one child per file; width 4 runs the files in-process
+  // on four threads and replays their output in input order. Both must
+  // print the same bytes and exit the same way, a parse failure
+  // included.
+  std::string Dir = ::testing::TempDir() + "/pta_tool_batch_width";
+  std::filesystem::remove_all(Dir);
+  std::filesystem::create_directories(Dir);
+  for (int Depth : {3, 4, 5}) {
+    ToolRun Gen = runTool("--gen-stress=" + std::to_string(Depth));
+    ASSERT_EQ(Gen.ExitCode, 0);
+    std::ofstream(Dir + "/stress" + std::to_string(Depth) + ".c")
+        << Gen.Output;
+  }
+  std::ofstream(Dir + "/broken.c") << "int main(void { broken";
+
+  const std::string Args = "--batch " + Dir + " --stats --dump-pointsto";
+  ToolRun Seq = runTool(Args + " --analysis-threads=1", "2>/dev/null");
+  ToolRun Par = runTool(Args + " --analysis-threads=4", "2>/dev/null");
+  EXPECT_EQ(Seq.ExitCode, 1) << Seq.Output; // broken.c errored
+  EXPECT_EQ(Par.ExitCode, Seq.ExitCode);
+  EXPECT_EQ(Par.Output, Seq.Output);
+  EXPECT_NE(Seq.Output.find("broken.c: error"), std::string::npos)
+      << Seq.Output;
+  EXPECT_NE(Seq.Output.find("stress5.c: ok"), std::string::npos)
+      << Seq.Output;
+  EXPECT_NE(Seq.Output.find("batch: 4 file(s)"), std::string::npos)
+      << Seq.Output;
+  std::filesystem::remove_all(Dir);
+}
+
+TEST(ToolTest, ThreadsFlagWithoutBatchIsUsageError) {
+  for (const char *Args : {"--analysis-threads=4 --corpus hash",
+                           "--analysis-threads=1 --corpus hash",
+                           "--analysis-threads=2 --serve </dev/null"}) {
+    ToolRun R = runTool(Args);
+    EXPECT_EQ(R.ExitCode, 1) << Args << "\n" << R.Output;
+    EXPECT_NE(R.Output.find("--analysis-threads applies only to --batch"),
+              std::string::npos)
+        << Args << "\n" << R.Output;
+  }
+}
+
 TEST(ToolTest, BatchUsesSummaryCache) {
   std::string Dir = ::testing::TempDir() + "/pta_tool_batch_cache";
   std::string CacheDir = ::testing::TempDir() + "/pta_tool_batch_cache_dir";
@@ -338,6 +386,56 @@ TEST(ToolTest, IncrementalBaselineChainsRuns) {
                        " --serve </dev/null");
   EXPECT_EQ(R3.ExitCode, 1);
   EXPECT_NE(R3.Output.find("does not apply"), std::string::npos) << R3.Output;
+  std::remove(Src.c_str());
+  std::remove(Baseline.c_str());
+}
+
+TEST(ToolTest, OldFormatBaselineIsRebuiltWithWarning) {
+  std::string Src = writeTemp("void leaf(int *p) { *p = 1; }\n"
+                              "int main(void) { int x; leaf(&x); "
+                              "return x; }");
+  std::string Baseline =
+      ::testing::TempDir() + "/pta_tool_incr_old.snapshot";
+  auto HeaderVersion = [&Baseline] {
+    std::ifstream In(Baseline, std::ios::binary);
+    std::string Blob((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    if (Blob.size() < 8)
+      return 0u;
+    uint32_t V = 0;
+    for (int I = 0; I < 4; ++I)
+      V |= uint32_t(static_cast<unsigned char>(Blob[4 + I])) << (8 * I);
+    return V;
+  };
+
+  // A baseline from an older format revision: magic, then version 2.
+  {
+    std::ofstream Out(Baseline, std::ios::binary | std::ios::trunc);
+    Out << std::string("MCPT\x02\x00\x00\x00", 8) << std::string(32, '\0');
+  }
+  ASSERT_EQ(HeaderVersion(), 2u);
+
+  // Ignored with a warning naming the version, replaced by a full
+  // analysis written back in the current format.
+  ToolRun R1 = runTool("--incremental-baseline=" + Baseline + " " + Src);
+  EXPECT_EQ(R1.ExitCode, 0) << R1.Output;
+  EXPECT_NE(R1.Output.find("warning: ignoring unreadable baseline"),
+            std::string::npos)
+      << R1.Output;
+  EXPECT_NE(R1.Output.find("unsupported format version 2"), std::string::npos)
+      << R1.Output;
+  EXPECT_NE(R1.Output.find("incremental: baseline created"),
+            std::string::npos)
+      << R1.Output;
+  EXPECT_EQ(HeaderVersion(), mcpta::version::kResultFormatVersion);
+
+  // The rebuilt baseline seeds the next run.
+  ToolRun R2 = runTool("--incremental-baseline=" + Baseline + " " + Src);
+  EXPECT_EQ(R2.ExitCode, 0) << R2.Output;
+  EXPECT_NE(R2.Output.find("incremental: dirty_functions="),
+            std::string::npos)
+      << R2.Output;
+  EXPECT_EQ(R2.Output.find("warning"), std::string::npos) << R2.Output;
   std::remove(Src.c_str());
   std::remove(Baseline.c_str());
 }
