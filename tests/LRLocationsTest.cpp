@@ -28,6 +28,11 @@ struct Table1Case {
   std::vector<const char *> Absent;
 };
 
+/// Print a case as its name. Without this, gtest prints the raw bytes of the
+/// struct, pointers included, and the test names ctest records change with
+/// every build.
+void PrintTo(const Table1Case &C, std::ostream *OS) { *OS << C.Name; }
+
 class Table1Test : public ::testing::TestWithParam<Table1Case> {};
 
 TEST_P(Table1Test, Row) {

@@ -135,6 +135,10 @@ struct SweepCase {
   wlgen::GenConfig Cfg;
 };
 
+/// Print a case as its name, so the test names ctest records do not carry
+/// the address of the name string (see Table1Case in LRLocationsTest.cpp).
+void PrintTo(const SweepCase &C, std::ostream *OS) { *OS << C.Name; }
+
 class GeneratedSweep : public ::testing::TestWithParam<SweepCase> {};
 
 TEST_P(GeneratedSweep, Sound) {
